@@ -18,42 +18,31 @@ dumps the resulting metrics snapshot::
     python -m repro stats --format text
     python -m repro stats --selfcheck      # validate against docs/OBSERVABILITY.md
 
-The ``faultcheck`` subcommand runs a seeded chaos ingest (dropped,
-duplicated, reordered and delayed statistics messages plus a master
-outage window) and verifies the catalog converges bit-identically to a
-fault-free run::
+Four seeded consistency checks share one oracle
+(``repro.cluster.check``): a perturbed run of a scripted 2x2 cluster
+must end bit-identical to an unperturbed baseline -- partition contents
+with each index's component structure, the uid-rank statistics catalog
+and a sweep of range estimates -- with no statistics left parked.
+Each check adds its own perturbation and vacuity guards, and exits 1
+on any divergence or failed guard:
 
-    python -m repro faultcheck
+* ``faultcheck`` -- dropped, duplicated, reordered and delayed
+  statistics messages, a master outage window and feed faults;
+* ``crashcheck`` -- a crash at every registered crash point (inline
+  and inside virtual-scheduler background tasks), restart and
+  recovery, plus a WAL-disabled control that must lose records;
+* ``racecheck`` -- background flushes/merges on the virtual scheduler
+  and on real threads per seed, optionally with merge pacing
+  (``--paced``) or a tight memory budget (``--memory``);
+* ``servecheck`` -- a feed killed mid-consumption that must resume
+  from its durable cursor, plus a saturated estimate service that must
+  shed typed rejections without deadlock.
+
+::
+
     python -m repro faultcheck --seed 7 --records 1024 --drop 0.2
-
-The ``crashcheck`` subcommand kills the cluster at every registered
-crash point (seeded), restarts and recovers it, and verifies that
-partition contents, the statistics catalog and a sweep of estimates
-are bit-identical to a crash-free run -- plus a WAL-disabled negative
-control that must demonstrably lose acknowledged records::
-
-    python -m repro crashcheck
     python -m repro crashcheck --seed 7 --records 1024
-
-The ``racecheck`` subcommand sweeps seeds x scheduler modes: the same
-scripted ingest runs with background flushes/merges on the
-deterministic virtual scheduler and on real worker threads, and every
-run must end bit-identical -- partition contents, statistics catalog
-and a sweep of estimates -- to the synchronous baseline::
-
-    python -m repro racecheck
-    python -m repro racecheck --quick
-    python -m repro racecheck --seed 7 --records 1024
-    python -m repro racecheck --quick --paced  # with merge pacing armed
-    python -m repro racecheck --quick --memory  # with a tight memory budget
-
-The ``servecheck`` subcommand exercises the resilient serving layer:
-a seeded changestream feed is killed mid-consumption and must resume
-from its durable cursor bit-identically (with feed faults armed), and
-a bounded concurrent estimate service is saturated and must shed load
-with typed rejections -- no deadlocks, no unbounded queues::
-
-    python -m repro servecheck
+    python -m repro racecheck --quick --paced
     python -m repro servecheck --seed 7 --records 1024
 
 The ``bench`` subcommand runs the perf suite (ingest-throughput,
@@ -93,21 +82,11 @@ from repro.eval.experiments import (
     fig9,
 )
 from repro.eval.experiments import extensions, ndv
-from repro.cluster.crashcheck import (
-    format_report as format_crash_report,
-    run_crashcheck,
-)
-from repro.cluster.faultcheck import format_report, run_faultcheck
-from repro.cluster.racecheck import (
-    DEFAULT_SEEDS,
-    QUICK_SEEDS,
-    format_report as format_race_report,
-    run_racecheck,
-)
-from repro.cluster.servecheck import (
-    format_report as format_serve_report,
-    run_servecheck,
-)
+from repro.cluster.check import CheckReport, format_report
+from repro.cluster.crashcheck import run_crashcheck
+from repro.cluster.faultcheck import run_faultcheck
+from repro.cluster.racecheck import DEFAULT_SEEDS, QUICK_SEEDS, run_racecheck
+from repro.cluster.servecheck import run_servecheck
 from repro.errors import ClusterError
 from repro.eval.experiments.common import ExperimentScale
 from repro.obs.export import render_json, render_text, write_snapshot
@@ -180,6 +159,20 @@ EXPERIMENTS: dict[str, _Descriptor] = {
 
 _SCALES = {"small": SMALL_SCALE, "medium": MEDIUM_SCALE}
 
+_CHECKS: dict[str, Callable[[argparse.Namespace], CheckReport]] = {
+    "faultcheck": lambda args: run_faultcheck(
+        args.seed, args.records, args.drop, args.duplicate, args.reorder, args.delay
+    ),
+    "crashcheck": lambda args: run_crashcheck(args.seed, args.records),
+    "racecheck": lambda args: run_racecheck(
+        tuple(args.seed or (QUICK_SEEDS if args.quick else DEFAULT_SEEDS)),
+        args.records,
+        args.paced,
+        args.memory,
+    ),
+    "servecheck": lambda args: run_servecheck(args.seed, args.records),
+}
+
 
 def _run_experiment(
     name: str, scale: ExperimentScale, out_dir: Path | None
@@ -237,58 +230,43 @@ def main(argv: list[str] | None = None) -> int:
         "contract; exit non-zero on any violation",
     )
 
-    fault_parser = subparsers.add_parser(
+    fault_parser = _add_check_parser(
+        subparsers,
         "faultcheck",
-        help="seeded chaos ingest: verify the statistics transport "
-        "converges the catalog despite injected network faults",
+        "seeded chaos ingest: verify contents, catalog and estimates "
+        "converge despite injected network and feed faults",
     )
     fault_parser.add_argument(
         "--seed", type=int, default=0, help="fault-plan RNG seed (default: 0)"
     )
-    fault_parser.add_argument(
-        "--records",
-        type=int,
-        default=512,
-        help="documents to ingest per run (default: 512)",
-    )
-    fault_parser.add_argument(
-        "--drop", type=float, default=0.10, help="per-send drop probability"
-    )
-    fault_parser.add_argument(
-        "--duplicate",
-        type=float,
-        default=0.10,
-        help="per-send duplication probability",
-    )
-    fault_parser.add_argument(
-        "--reorder",
-        type=float,
-        default=0.10,
-        help="per-send reordering probability",
-    )
-    fault_parser.add_argument(
-        "--delay", type=float, default=0.05, help="per-send delay probability"
-    )
+    for name, default, what in (
+        ("drop", 0.10, "drop"),
+        ("duplicate", 0.10, "duplication"),
+        ("reorder", 0.10, "reordering"),
+        ("delay", 0.05, "delay"),
+    ):
+        fault_parser.add_argument(
+            f"--{name}",
+            type=float,
+            default=default,
+            help=f"per-send {what} probability",
+        )
 
-    crash_parser = subparsers.add_parser(
+    crash_parser = _add_check_parser(
+        subparsers,
         "crashcheck",
-        help="seeded crash injection: verify node recovery restores "
+        "seeded crash injection: verify node recovery restores "
         "contents, catalog and estimates bit-identically at every "
         "registered crash point",
     )
     crash_parser.add_argument(
         "--seed", type=int, default=0, help="crash-plan RNG seed (default: 0)"
     )
-    crash_parser.add_argument(
-        "--records",
-        type=int,
-        default=512,
-        help="documents to ingest per run (default: 512)",
-    )
 
-    race_parser = subparsers.add_parser(
+    race_parser = _add_check_parser(
+        subparsers,
         "racecheck",
-        help="seeded scheduler sweep: verify concurrent background "
+        "seeded scheduler sweep: verify concurrent background "
         "flushes/merges (virtual and real threads) end bit-identical "
         "to synchronous maintenance",
     )
@@ -299,12 +277,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="sweep seed (repeatable; default: the standard sweep "
         f"{list(DEFAULT_SEEDS)})",
-    )
-    race_parser.add_argument(
-        "--records",
-        type=int,
-        default=512,
-        help="documents to ingest per run (default: 512)",
     )
     race_parser.add_argument(
         "--quick",
@@ -327,23 +299,15 @@ def main(argv: list[str] | None = None) -> int:
         "flushes are image-neutral across scheduler modes",
     )
 
-    serve_parser = subparsers.add_parser(
+    serve_parser = _add_check_parser(
+        subparsers,
         "servecheck",
-        help="seeded serving chaos: verify crash-resumable feeds "
+        "seeded serving chaos: verify crash-resumable feeds "
         "converge from their durable cursors and the bounded estimate "
         "service sheds overload with typed rejections",
     )
     serve_parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="feed/fault/kill RNG seed (default: 0)",
-    )
-    serve_parser.add_argument(
-        "--records",
-        type=int,
-        default=512,
-        help="changestream records per run (default: 512)",
+        "--seed", type=int, default=0, help="feed/fault/kill RNG seed (default: 0)"
     )
 
     bench_parser = subparsers.add_parser(
@@ -416,61 +380,16 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "bench":
         return _run_bench(args)
 
-    if args.command == "faultcheck":
+    if args.command in _CHECKS:
         try:
-            report = run_faultcheck(
-                seed=args.seed,
-                records=args.records,
-                drop=args.drop,
-                duplicate=args.duplicate,
-                reorder=args.reorder,
-                delay=args.delay,
-            )
+            report = _CHECKS[args.command](args)
         except (ClusterError, ValueError) as exc:
-            # A plan hostile enough that recovery cannot converge (e.g.
-            # --drop 1.0), or invalid probabilities.
-            print(f"faultcheck failed: {exc}", file=sys.stderr)
+            # A fault plan hostile enough that recovery cannot converge
+            # (e.g. --drop 1.0), or invalid probabilities.
+            print(f"{args.command} failed: {exc}", file=sys.stderr)
             return 1
         print(format_report(report))
         return 0 if report.converged else 1
-
-    if args.command == "crashcheck":
-        try:
-            crash_report = run_crashcheck(seed=args.seed, records=args.records)
-        except (ClusterError, ValueError) as exc:
-            print(f"crashcheck failed: {exc}", file=sys.stderr)
-            return 1
-        print(format_crash_report(crash_report))
-        return 0 if crash_report.converged else 1
-
-    if args.command == "servecheck":
-        try:
-            serve_report = run_servecheck(
-                seed=args.seed, records=args.records
-            )
-        except (ClusterError, ValueError) as exc:
-            print(f"servecheck failed: {exc}", file=sys.stderr)
-            return 1
-        print(format_serve_report(serve_report))
-        return 0 if serve_report.converged else 1
-
-    if args.command == "racecheck":
-        if args.seed is not None:
-            seeds = tuple(args.seed)
-        else:
-            seeds = QUICK_SEEDS if args.quick else DEFAULT_SEEDS
-        try:
-            race_report = run_racecheck(
-                seeds=seeds,
-                records=args.records,
-                paced=args.paced,
-                memory=args.memory,
-            )
-        except (ClusterError, ValueError) as exc:
-            print(f"racecheck failed: {exc}", file=sys.stderr)
-            return 1
-        print(format_race_report(race_report))
-        return 0 if race_report.converged else 1
 
     scale = _SCALES[args.scale]
     out_dir = Path(args.out) if args.out else None
@@ -560,6 +479,19 @@ def _run_bench(args: argparse.Namespace) -> int:
         return 2
     print(perfsuite.format_regressions(regressions))
     return 1 if regressions or violations else 0
+
+
+def _add_check_parser(
+    subparsers: Any, name: str, help: str
+) -> argparse.ArgumentParser:
+    parser = subparsers.add_parser(name, help=help)
+    parser.add_argument(
+        "--records",
+        type=int,
+        default=512,
+        help="records to ingest per run (default: 512)",
+    )
+    return parser
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -8,12 +8,8 @@ in-memory state lost, disks survive), statistics recovery drains, the
 interrupted operation is retried if and only if its effect is absent
 (the client-side at-least-once retry), and the rest of the script runs
 to completion.  The run must then be *bit-identical* to the baseline
-in three respects:
-
-1. reconciled primary and secondary scans of every partition,
-2. the master catalog (entries and synopsis payloads, uid-rank
-   normalised), and
-3. a sweep of range estimates.
+under the shared oracle (:mod:`repro.cluster.check`: contents with
+component structure, uid-rank catalog, estimate sweep).
 
 A negative control runs the same harness on a durable cluster with the
 WAL disabled and must demonstrably lose acknowledged records -- the
@@ -30,28 +26,19 @@ bit-identical to the same synchronous baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
+from repro.cluster.check import DATASET, CheckReport, doc, run_leg, tally
 from repro.cluster.cluster import LSMCluster
-from repro.cluster.faultcheck import _catalog_image
-from repro.cluster.node import RetryPolicy
-from repro.core.config import StatisticsConfig
 from repro.lsm.crashpoints import (
     CRASH_POINTS,
     CrashInjector,
     CrashPlan,
     SimulatedCrash,
 )
-from repro.lsm.dataset import IndexSpec
-from repro.lsm.merge_policy import ConstantMergePolicy
-from repro.obs.registry import MetricsRegistry, use_registry
-from repro.synopses.base import SynopsisType
-from repro.types import Domain
 
-__all__ = ["CrashCheckReport", "run_crashcheck", "format_report"]
+__all__ = ["run_crashcheck"]
 
-_DATASET = "crash"
 _BULKLOAD_COUNT = 64
 
 # The crash points a background flush/merge task passes through; the
@@ -63,56 +50,12 @@ _CONCURRENT_POINTS = (
     "merge.splice",
 )
 
-
-@dataclass(frozen=True)
-class CrashCheckReport:
-    """Outcome of the per-crash-point recovery comparisons."""
-
-    seed: int
-    records: int
-    converged: bool
-    points_checked: tuple[str, ...]
-    crashes_fired: int
-    concurrent_points_checked: tuple[str, ...]
-    concurrent_crashes_fired: int
-    orphans_deleted: int
-    replayed_ops: int
-    rederived_synopses: int
-    stale_epoch_drops: int
-    control_records_lost: int
-    problems: tuple[str, ...]
-
-
-def _doc(pk: int) -> dict[str, Any]:
-    return {"id": pk, "value": (pk * 13) % 1024}
-
-
-def _build_cluster(
-    wal_enabled: bool = True,
-    crash_injector: CrashInjector | None = None,
-    scheduler: str = "sync",
-    scheduler_seed: int = 0,
-) -> LSMCluster:
-    cluster = LSMCluster(
-        num_nodes=2,
-        partitions_per_node=2,
-        stats_config=StatisticsConfig(SynopsisType.EQUI_WIDTH, budget=32),
-        retry_policy=RetryPolicy.immediate(max_attempts=3),
-        durable=True,
-        wal_enabled=wal_enabled,
-        crash_injector=crash_injector,
-        scheduler=scheduler,
-        scheduler_seed=scheduler_seed,
-    )
-    cluster.create_dataset(
-        _DATASET,
-        primary_key="id",
-        primary_domain=Domain(0, 2**20 - 1),
-        indexes=[IndexSpec("value_idx", "value", Domain(0, 1023))],
-        memtable_capacity=32,
-        merge_policy_factory=lambda: ConstantMergePolicy(max_components=3),
-    )
-    return cluster
+_RECOVERY_COUNTERS = {
+    "orphans_deleted": "recovery.orphans.deleted",
+    "replayed_ops": "recovery.replayed.ops",
+    "rederived_synopses": "collector.synopses.rederived",
+    "stale_epoch_drops": "cluster.stats.stale_epoch",
+}
 
 
 def _ops(records: int) -> list[tuple[str, Any]]:
@@ -132,13 +75,13 @@ def _ops(records: int) -> list[tuple[str, Any]]:
 
 def _apply(cluster: LSMCluster, op: str, arg: Any) -> None:
     if op == "bulkload":
-        cluster.bulkload(_DATASET, [_doc(pk) for pk in arg])
+        cluster.bulkload(DATASET, [doc(pk) for pk in arg])
     elif op == "insert":
-        cluster.insert(_DATASET, _doc(arg))
+        cluster.insert(DATASET, doc(arg))
     elif op == "delete":
-        cluster.delete(_DATASET, arg)
+        cluster.delete(DATASET, arg)
     else:
-        cluster.flush_all(_DATASET)
+        cluster.flush_all(DATASET)
 
 
 def _retry(cluster: LSMCluster, op: str, arg: Any) -> None:
@@ -148,13 +91,13 @@ def _retry(cluster: LSMCluster, op: str, arg: Any) -> None:
     if op == "bulkload":
         _retry_bulkload(cluster, arg)
     elif op == "insert":
-        if cluster.get(_DATASET, arg) is None:
-            cluster.insert(_DATASET, _doc(arg))
+        if cluster.get(DATASET, arg) is None:
+            cluster.insert(DATASET, doc(arg))
     elif op == "delete":
-        if cluster.get(_DATASET, arg) is not None:
-            cluster.delete(_DATASET, arg)
+        if cluster.get(DATASET, arg) is not None:
+            cluster.delete(DATASET, arg)
     else:
-        cluster.flush_all(_DATASET)
+        cluster.flush_all(DATASET)
 
 
 def _retry_bulkload(cluster: LSMCluster, pks: tuple[int, ...]) -> None:
@@ -168,20 +111,18 @@ def _retry_bulkload(cluster: LSMCluster, pks: tuple[int, ...]) -> None:
     batches: dict[int, list[dict[str, Any]]] = {}
     for pk in pks:
         batches.setdefault(cluster.partitioner.partition_of(pk), []).append(
-            _doc(pk)
+            doc(pk)
         )
     for partition_id, batch in batches.items():
         node = cluster._partition_owner[partition_id]
-        dataset = node.dataset(_DATASET, partition_id)
+        dataset = node.dataset(DATASET, partition_id)
         if dataset.primary.components or dataset.primary.memtable:
             continue  # this partition's load already committed
         batch.sort(key=lambda document: document["id"])
-        node.bulkload(_DATASET, partition_id, batch)
+        node.bulkload(DATASET, partition_id, batch)
 
 
-def _run_script(
-    cluster: LSMCluster, records: int
-) -> SimulatedCrash | None:
+def _run_script(cluster: LSMCluster, records: int) -> SimulatedCrash | None:
     """Run the workload; on a simulated crash, restart every node,
     recover, retry the interrupted op and finish the script."""
     ops = _ops(records)
@@ -192,216 +133,82 @@ def _run_script(
     except SimulatedCrash as crash:
         cluster.restart_nodes()
         cluster.recover_statistics()
-        op, arg = ops[position]
-        _retry(cluster, op, arg)
+        _retry(cluster, *ops[position])
         for op, arg in ops[position + 1 :]:
             _apply(cluster, op, arg)
-        cluster.drain_maintenance()
-        cluster.recover_statistics()
         return crash
-    cluster.drain_maintenance()
-    cluster.recover_statistics()
     return None
 
 
-def _contents_image(cluster: LSMCluster) -> dict:
-    """Reconciled per-partition scans as comparable plain data."""
-    image: dict = {}
-    for node in cluster.nodes:
-        for partition_id in node.partition_ids:
-            dataset = node.dataset(_DATASET, partition_id)
-            image[(node.node_id, partition_id, "primary")] = tuple(
-                (record.key, record.value["value"])
-                for record in dataset.primary.scan()
-            )
-            image[(node.node_id, partition_id, "value_idx")] = tuple(
-                record.key
-                for record in dataset.scan_secondary("value_idx")
-            )
-    return image
-
-
-def _estimate_sweep(cluster: LSMCluster) -> list[float]:
-    return [
-        cluster.estimate(_DATASET, "value_idx", lo, lo + width)
-        for lo in range(0, 1024, 64)
-        for width in (0, 15, 255)
-    ]
-
-
-def _compare(point: str, baseline: dict, recovered: dict) -> list[str]:
-    """Diff the three baseline images against a recovered run's."""
-    problems: list[str] = []
-    if baseline["contents"] != recovered["contents"]:
-        diverged = sorted(
-            key
-            for key in baseline["contents"]
-            if baseline["contents"][key] != recovered["contents"].get(key)
-        )
-        problems.append(f"{point}: partition contents diverged: {diverged[:4]}")
-    expected, actual = baseline["catalog"], recovered["catalog"]
-    if set(expected) != set(actual):
-        missing = sorted(set(expected) - set(actual))
-        extra = sorted(set(actual) - set(expected))
-        problems.append(
-            f"{point}: catalog entries differ "
-            f"(missing {missing[:3]}, extra {extra[:3]})"
-        )
-    else:
-        diverged = [key for key in expected if expected[key] != actual[key]]
-        if diverged:
-            problems.append(
-                f"{point}: synopsis payloads diverged for {diverged[:3]}"
-            )
-    if baseline["estimates"] != recovered["estimates"]:
-        deltas = [
-            (index, expected_value, actual_value)
-            for index, (expected_value, actual_value) in enumerate(
-                zip(baseline["estimates"], recovered["estimates"])
-            )
-            if expected_value != actual_value
-        ]
-        problems.append(f"{point}: estimates diverged: {deltas[:3]}")
-    return problems
-
-
-def _images(cluster: LSMCluster) -> dict:
-    return {
-        "contents": _contents_image(cluster),
-        "catalog": _catalog_image(cluster),
-        "estimates": _estimate_sweep(cluster),
-    }
-
-
-def run_crashcheck(seed: int = 0, records: int = 512) -> CrashCheckReport:
+def run_crashcheck(seed: int = 0, records: int = 512) -> CheckReport:
     """Verify bit-identical recovery at every registered crash point."""
-    with use_registry(MetricsRegistry()):
-        baseline_cluster = _build_cluster()
-        crash = _run_script(baseline_cluster, records)
-        assert crash is None  # no injector armed
-        baseline = _images(baseline_cluster)
-        baseline_live = baseline_cluster.count_records(_DATASET)
-
     problems: list[str] = []
-    crashes_fired = 0
-    orphans_deleted = 0
-    replayed_ops = 0
-    rederived = 0
-    stale_drops = 0
-    for point in CRASH_POINTS:
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            injector = CrashInjector.seeded(seed, point)
-            cluster = _build_cluster(crash_injector=injector)
-            crash = _run_script(cluster, records)
-            if crash is None:
-                problems.append(
-                    f"{point}: crash never fired (planned hit "
-                    f"{injector.plan.hit}, passages "
-                    f"{injector.hits.get(point, 0)})"
-                )
-                continue
-            crashes_fired += 1
-            problems.extend(_compare(point, baseline, _images(cluster)))
-            if cluster.statistics_backlog():
-                problems.append(
-                    f"{point}: {cluster.statistics_backlog()} statistics "
-                    "messages still parked after recovery"
-                )
-        counters = registry.snapshot()["counters"]
-        orphans_deleted += counters.get("recovery.orphans.deleted", 0)
-        replayed_ops += counters.get("recovery.replayed.ops", 0)
-        rederived += counters.get("collector.synopses.rederived", 0)
-        stale_drops += counters.get("cluster.stats.stale_epoch", 0)
 
-    # Concurrent sweep: the same lifecycle points, but the flush/merge
-    # that dies is a *background* task on the (deterministic) virtual
-    # scheduler, with ingestion mid-flight around it.  Pending lane
-    # work is discarded on restart -- exactly the in-memory loss a real
-    # process death inflicts -- and recovery must still converge to the
-    # synchronous crash-free baseline.
-    concurrent_fired = 0
-    for point in _CONCURRENT_POINTS:
-        with use_registry(MetricsRegistry()):
-            injector = CrashInjector.seeded(seed, point)
-            cluster = _build_cluster(
-                crash_injector=injector, scheduler="virtual", scheduler_seed=seed
+    def script(cluster: LSMCluster) -> SimulatedCrash | None:
+        return _run_script(cluster, records)
+
+    baseline = run_leg("baseline", script, problems, durable=True)
+    counts = {
+        "points_checked": len(CRASH_POINTS),
+        "crashes_fired": 0,
+        "concurrent_points_checked": len(_CONCURRENT_POINTS),
+        "concurrent_crashes_fired": 0,
+    }
+    # The concurrent sweep arms the same lifecycle points, but the
+    # flush/merge that dies is a *background* task on the
+    # (deterministic) virtual scheduler, with ingestion mid-flight
+    # around it.  Pending lane work is discarded on restart -- exactly
+    # the in-memory loss a real process death inflicts.
+    virtual = {"scheduler": "virtual", "scheduler_seed": seed}
+    sweeps = [(point, point, "crashes_fired", {}) for point in CRASH_POINTS] + [
+        (f"virtual:{point}", point, "concurrent_crashes_fired", virtual)
+        for point in _CONCURRENT_POINTS
+    ]
+    for label, point, fired, options in sweeps:
+        injector = CrashInjector.seeded(seed, point)
+        leg = run_leg(
+            label,
+            script,
+            problems,
+            baseline.images,
+            durable=True,
+            crash_injector=injector,
+            **options,
+        )
+        if leg.result is None:
+            problems.append(
+                f"{label}: crash never fired (planned hit "
+                f"{injector.plan.hit}, passages "
+                f"{injector.hits.get(point, 0)})"
             )
-            crash = _run_script(cluster, records)
-            if crash is None:
-                problems.append(
-                    f"virtual:{point}: crash never fired (planned hit "
-                    f"{injector.plan.hit}, passages "
-                    f"{injector.hits.get(point, 0)})"
-                )
-                continue
-            concurrent_fired += 1
-            problems.extend(
-                _compare(f"virtual:{point}", baseline, _images(cluster))
-            )
-            if cluster.statistics_backlog():
-                problems.append(
-                    f"virtual:{point}: {cluster.statistics_backlog()} "
-                    "statistics messages still parked after recovery"
-                )
+        else:
+            counts[fired] += 1
+        tally(counts, leg.counters, _RECOVERY_COUNTERS)
 
     # Negative control: same harness, WAL disabled.  The crash loses
     # the acknowledged records sitting in memtables; only the one
     # interrupted operation is retried, so the loss must be visible.
-    with use_registry(MetricsRegistry()):
-        control_injector = CrashInjector(CrashPlan("flush.build", 1))
-        control = _build_cluster(
-            wal_enabled=False, crash_injector=control_injector
-        )
-        control_crash = _run_script(control, records)
-        control_lost = baseline_live - control.count_records(_DATASET)
-        if control_crash is None:
-            problems.append("control: crash never fired")
-        elif control_lost <= 0:
-            problems.append(
-                "control: WAL-less crash lost no acknowledged records "
-                f"(lost={control_lost}) -- the check proves nothing"
-            )
-
-    return CrashCheckReport(
-        seed=seed,
-        records=records,
-        converged=not problems,
-        points_checked=CRASH_POINTS,
-        crashes_fired=crashes_fired,
-        concurrent_points_checked=_CONCURRENT_POINTS,
-        concurrent_crashes_fired=concurrent_fired,
-        orphans_deleted=orphans_deleted,
-        replayed_ops=replayed_ops,
-        rederived_synopses=rederived,
-        stale_epoch_drops=stale_drops,
-        control_records_lost=control_lost,
-        problems=tuple(problems),
+    control = run_leg(
+        "control",
+        script,
+        problems,
+        durable=True,
+        wal_enabled=False,
+        crash_injector=CrashInjector(CrashPlan("flush.build", 1)),
     )
-
-
-def format_report(report: CrashCheckReport) -> str:
-    lines = [
-        f"crashcheck seed={report.seed} records={report.records}",
-        f"  crash points: {report.crashes_fired}/"
-        f"{len(report.points_checked)} fired",
-        f"  concurrent (virtual scheduler): "
-        f"{report.concurrent_crashes_fired}/"
-        f"{len(report.concurrent_points_checked)} background-task "
-        "crashes fired",
-        f"  recovery: replayed_ops={report.replayed_ops}"
-        f" rederived_synopses={report.rederived_synopses}"
-        f" orphans_deleted={report.orphans_deleted}"
-        f" stale_epoch_drops={report.stale_epoch_drops}",
-        f"  control (no WAL): {report.control_records_lost}"
-        " acknowledged records lost",
-    ]
-    if report.converged:
-        lines.append(
-            "  converged: contents, catalog and estimates are "
-            "bit-identical to the crash-free run at every point"
+    live = baseline.cluster.count_records(DATASET)
+    lost = live - control.cluster.count_records(DATASET)
+    counts["control_records_lost"] = lost
+    if control.result is None:
+        problems.append("control: crash never fired")
+    elif lost <= 0:
+        problems.append(
+            "control: WAL-less crash lost no acknowledged records "
+            f"(lost={lost}) -- the check proves nothing"
         )
-    else:
-        lines.append("  DIVERGED:")
-        lines.extend(f"    - {problem}" for problem in report.problems)
-    return "\n".join(lines)
+    return CheckReport(
+        f"crashcheck seed={seed} records={records}",
+        not problems,
+        tuple(problems),
+        counts,
+    )

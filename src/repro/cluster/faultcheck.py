@@ -3,12 +3,9 @@
 Runs the same scripted cluster ingest twice -- once on a perfect wire,
 once under a seeded :class:`~repro.cluster.faults.FaultPlan` with the
 retrying sinks -- then recovers the chaotic run and verifies it
-converged to the *exact* state of the fault-free run:
-
-1. the master catalog holds the same set of
-   ``(index, node, partition, component)`` entries with bit-identical
-   synopsis payloads, and
-2. a sweep of range estimates answers bit-identically.
+converged to the *exact* state of the fault-free run under the shared
+oracle (:mod:`repro.cluster.check`: contents with component structure,
+uid-rank catalog, estimate sweep).
 
 Because the local LSM pipeline is oblivious to statistics-delivery
 failures (the sink never blocks ingestion), both runs build identical
@@ -29,8 +26,7 @@ every component, stays identical to the baseline's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro.cluster.check import DATASET, CheckReport, doc, run_leg, tally
 from repro.cluster.cluster import LSMCluster
 from repro.cluster.faults import FaultPlan, FeedFaultPlan, FeedFaults, LinkFaults
 from repro.cluster.feeds import (
@@ -42,53 +38,23 @@ from repro.cluster.feeds import (
     ResumableFeedConsumer,
 )
 from repro.cluster.node import RetryPolicy
-from repro.core.config import StatisticsConfig
-from repro.lsm.dataset import IndexSpec
-from repro.lsm.merge_policy import ConstantMergePolicy
-from repro.obs.registry import MetricsRegistry, use_registry
-from repro.synopses.base import SynopsisType
-from repro.types import Domain
 
-__all__ = ["FaultCheckReport", "run_faultcheck", "format_report"]
+__all__ = ["run_faultcheck"]
 
+#: Feed-fault probabilities armed on the chaos run's changestream.
+FEED_DISCONNECT = 0.03
+FEED_DUPLICATE = 0.05
 
-@dataclass(frozen=True)
-class FaultCheckReport:
-    """Outcome of one seeded chaos-vs-baseline comparison."""
-
-    seed: int
-    records: int
-    converged: bool
-    catalog_entries: int
-    recovery_rounds: int
-    dropped: int
-    duplicated: int
-    reordered: int
-    delayed: int
-    retries: int
-    duplicates_skipped: int
-    feed_disconnects: int
-    feed_deduplicated: int
-    problems: tuple[str, ...]
-
-
-def _build_cluster(fault_plan: FaultPlan | None) -> LSMCluster:
-    cluster = LSMCluster(
-        num_nodes=2,
-        partitions_per_node=2,
-        stats_config=StatisticsConfig(SynopsisType.EQUI_WIDTH, budget=32),
-        fault_plan=fault_plan,
-        retry_policy=RetryPolicy.immediate(max_attempts=3),
-    )
-    cluster.create_dataset(
-        "chaos",
-        primary_key="id",
-        primary_domain=Domain(0, 2**20 - 1),
-        indexes=[IndexSpec("value_idx", "value", Domain(0, 1023))],
-        memtable_capacity=32,
-        merge_policy_factory=lambda: ConstantMergePolicy(max_components=3),
-    )
-    return cluster
+_COUNTERS = {
+    "dropped": "network.dropped",
+    "duplicated": "network.duplicated",
+    "reordered": "network.reordered",
+    "delayed": "network.delayed",
+    "retries": "sink.retries",
+    "duplicates_skipped": "cluster.stats.duplicates",
+    "feed_disconnects": "feed.source.disconnects",
+    "feed_deduplicated": "feed.records.deduplicated",
+}
 
 
 def _ingest(
@@ -101,55 +67,18 @@ def _ingest(
     duplicate deliveries, which the consumer must absorb without
     changing the applied operation sequence."""
     ops = [
-        FeedRecord(
-            FeedOperation.INSERT, {"id": pk, "value": (pk * 13) % 1024}
-        )
-        for pk in range(records)
+        FeedRecord(FeedOperation.INSERT, doc(pk)) for pk in range(records)
     ] + [
         FeedRecord(FeedOperation.DELETE, {"id": pk})
         for pk in range(0, records, 17)
     ]
     consumer = ResumableFeedConsumer(
         ChangestreamFeed("chaos_ingest", ops, fault_plan=feed_plan),
-        DatasetFeedAdapter(cluster, "chaos"),
+        DatasetFeedAdapter(cluster, DATASET),
         FeedCursorStore(cluster.nodes[0].disk),
         retry_policy=RetryPolicy.immediate(max_attempts=5),
     )
     consumer.run()
-
-
-def _catalog_image(cluster: LSMCluster) -> dict:
-    """The master catalog as comparable plain data.
-
-    Component uids come from a process-global counter, so two runs in
-    the same process assign different absolute uids to corresponding
-    components; they are normalised to their rank within each
-    ``(index, node, partition)`` group (uid order is creation order).
-    """
-    grouped: dict[tuple[str, str, int], list] = {}
-    catalog = cluster.master.catalog
-    for index_name in catalog.index_names():
-        for entry in catalog.entries_for(index_name):
-            grouped.setdefault(
-                (index_name, entry.node_id, entry.partition_id), []
-            ).append(entry)
-    image = {}
-    for (index_name, node_id, partition_id), entries in grouped.items():
-        entries.sort(key=lambda e: e.component_uid)
-        for rank, entry in enumerate(entries):
-            image[(index_name, node_id, partition_id, rank)] = (
-                entry.synopsis.to_payload(),
-                entry.anti_synopsis.to_payload(),
-            )
-    return image
-
-
-def _estimate_sweep(cluster: LSMCluster) -> list[float]:
-    return [
-        cluster.estimate("chaos", "value_idx", lo, lo + width)
-        for lo in range(0, 1024, 64)
-        for width in (0, 15, 255)
-    ]
 
 
 def run_faultcheck(
@@ -159,17 +88,8 @@ def run_faultcheck(
     duplicate: float = 0.10,
     reorder: float = 0.10,
     delay: float = 0.05,
-    feed_disconnect: float = 0.03,
-    feed_duplicate: float = 0.05,
-) -> FaultCheckReport:
+) -> CheckReport:
     """Run the chaos ingest and verify convergence to the baseline."""
-    # Each run gets its own registry so the chaos run's fault metrics
-    # are not polluted by baseline traffic (instruments bind at
-    # construction time).
-    with use_registry(MetricsRegistry()):
-        baseline = _build_cluster(fault_plan=None)
-        _ingest(baseline, records)
-
     plan = FaultPlan(
         seed=seed,
         default=LinkFaults(
@@ -181,81 +101,25 @@ def run_faultcheck(
     )
     feed_plan = FeedFaultPlan(
         seed=seed,
-        faults=FeedFaults(disconnect=feed_disconnect, duplicate=feed_duplicate),
+        faults=FeedFaults(disconnect=FEED_DISCONNECT, duplicate=FEED_DUPLICATE),
     )
-    chaos_registry = MetricsRegistry()
-    with use_registry(chaos_registry):
-        chaotic = _build_cluster(fault_plan=plan)
-        _ingest(chaotic, records, feed_plan=feed_plan)
-        recovery_rounds = chaotic.recover_statistics()
-
     problems: list[str] = []
-    expected = _catalog_image(baseline)
-    actual = _catalog_image(chaotic)
-    if set(expected) != set(actual):
-        missing = sorted(set(expected) - set(actual))
-        extra = sorted(set(actual) - set(expected))
-        if missing:
-            problems.append(f"catalog missing entries: {missing[:5]}")
-        if extra:
-            problems.append(f"catalog has extra entries: {extra[:5]}")
-    else:
-        diverged = [key for key in expected if expected[key] != actual[key]]
-        if diverged:
-            problems.append(f"synopsis payloads diverged for: {diverged[:5]}")
-
-    if not problems:
-        baseline_estimates = _estimate_sweep(baseline)
-        chaotic_estimates = _estimate_sweep(chaotic)
-        if baseline_estimates != chaotic_estimates:
-            deltas = [
-                (index, expected_value, actual_value)
-                for index, (expected_value, actual_value) in enumerate(
-                    zip(baseline_estimates, chaotic_estimates)
-                )
-                if expected_value != actual_value
-            ]
-            problems.append(f"estimates diverged: {deltas[:5]}")
-
-    if chaotic.statistics_backlog():
-        problems.append(
-            f"{chaotic.statistics_backlog()} messages still parked after recovery"
-        )
-
-    counters = chaos_registry.snapshot()["counters"]
-    return FaultCheckReport(
-        seed=seed,
-        records=records,
-        converged=not problems,
-        catalog_entries=chaotic.master.catalog.entry_count(),
-        recovery_rounds=recovery_rounds,
-        dropped=counters.get("network.dropped", 0),
-        duplicated=counters.get("network.duplicated", 0),
-        reordered=counters.get("network.reordered", 0),
-        delayed=counters.get("network.delayed", 0),
-        retries=counters.get("sink.retries", 0),
-        duplicates_skipped=counters.get("cluster.stats.duplicates", 0),
-        feed_disconnects=counters.get("feed.source.disconnects", 0),
-        feed_deduplicated=counters.get("feed.records.deduplicated", 0),
-        problems=tuple(problems),
+    baseline = run_leg("baseline", lambda c: _ingest(c, records), problems)
+    chaos = run_leg(
+        "chaos",
+        lambda c: _ingest(c, records, feed_plan),
+        problems,
+        baseline.images,
+        fault_plan=plan,
     )
-
-
-def format_report(report: FaultCheckReport) -> str:
-    lines = [
-        f"faultcheck seed={report.seed} records={report.records}",
-        f"  injected: dropped={report.dropped} duplicated={report.duplicated}"
-        f" reordered={report.reordered} delayed={report.delayed}",
-        f"  absorbed: retries={report.retries}"
-        f" duplicates_skipped={report.duplicates_skipped}"
-        f" recovery_rounds={report.recovery_rounds}",
-        f"  feed chaos: disconnects={report.feed_disconnects}"
-        f" deduplicated={report.feed_deduplicated}",
-        f"  catalog entries: {report.catalog_entries}",
-    ]
-    if report.converged:
-        lines.append("  converged: catalog and estimates match the fault-free run")
-    else:
-        lines.append("  DIVERGED:")
-        lines.extend(f"    - {problem}" for problem in report.problems)
-    return "\n".join(lines)
+    counts = {
+        "catalog_entries": chaos.cluster.master.catalog.entry_count(),
+        "recovery_rounds": chaos.recovery_rounds,
+    }
+    tally(counts, chaos.counters, _COUNTERS)
+    return CheckReport(
+        f"faultcheck seed={seed} records={records}",
+        not problems,
+        tuple(problems),
+        counts,
+    )

@@ -10,10 +10,11 @@ batches, duplicate deliveries).  The killed cluster is crash-restarted
 (:meth:`~repro.cluster.cluster.LSMCluster.restart_nodes`), a fresh
 consumer resumes from the durable cursor, replays the uncheckpointed
 gap (at-least-once) and deduplicates it against the applied high-water
-mark.  Both runs must end **bit-identical**: partition contents, master
-catalog (uid-rank normalised) and a sweep of range estimates.  The leg
-is vacuous unless the resume actually replayed records, so
-``replayed == 0`` is itself a failure.
+mark.  Both runs must end **bit-identical** under the shared oracle
+(:mod:`repro.cluster.check`: contents with component structure,
+uid-rank catalog, estimate sweep).  The leg is vacuous unless the
+resume actually replayed records, so ``replayed == 0`` is itself a
+failure.
 
 **Overload leg.**  A bounded :class:`~repro.cluster.serving.
 EstimateService` is saturated deterministically (staged admissions past
@@ -30,57 +31,28 @@ from __future__ import annotations
 
 import random
 import threading
-from dataclasses import dataclass
-from typing import Any
 
+from repro.cluster.check import DATASET, INDEX, CheckReport, run_leg, settle, tally
 from repro.cluster.cluster import LSMCluster
-from repro.cluster.faultcheck import _catalog_image
 from repro.cluster.faults import FeedFaultPlan, FeedFaults
 from repro.cluster.feeds import (
     ChangestreamFeed,
     DatasetFeedAdapter,
+    FeedConsumerStats,
     FeedCursorStore,
     FeedOperation,
     FeedRecord,
     ResumableFeedConsumer,
 )
 from repro.cluster.serving import EstimateService
-from repro.core.config import StatisticsConfig
 from repro.errors import OverloadedError
-from repro.lsm.dataset import IndexSpec
-from repro.lsm.merge_policy import ConstantMergePolicy
-from repro.obs.registry import MetricsRegistry, use_registry
-from repro.synopses.base import SynopsisType
-from repro.types import Domain
 from repro.util.retry import RetryPolicy
 
-__all__ = ["ServeCheckReport", "run_servecheck", "format_report"]
+__all__ = ["run_servecheck"]
 
-_DATASET = "serve"
 _CHECKPOINT_EVERY = 64
 _FLUSH_EVERY = 48
 _JOIN_DEADLINE_SECONDS = 30.0
-
-
-@dataclass(frozen=True)
-class ServeCheckReport:
-    """Outcome of one seeded serving-resilience check."""
-
-    seed: int
-    records: int
-    converged: bool
-    kill_at: int
-    replayed: int
-    deduplicated: int
-    disconnects: int
-    reconnects: int
-    partial_batches: int
-    requests: int
-    rejected: int
-    degraded: int
-    timeouts: int
-    peak_queue_depth: int
-    problems: tuple[str, ...]
 
 
 def _feed_records(seed: int, count: int) -> list[FeedRecord]:
@@ -111,33 +83,13 @@ def _feed_records(seed: int, count: int) -> list[FeedRecord]:
     return records
 
 
-def _build_cluster(scheduler: str = "sync") -> LSMCluster:
-    cluster = LSMCluster(
-        num_nodes=2,
-        partitions_per_node=2,
-        stats_config=StatisticsConfig(SynopsisType.EQUI_WIDTH, budget=32),
-        retry_policy=RetryPolicy.immediate(max_attempts=3),
-        durable=True,
-        scheduler=scheduler,
-    )
-    cluster.create_dataset(
-        _DATASET,
-        primary_key="id",
-        primary_domain=Domain(0, 2**20 - 1),
-        indexes=[IndexSpec("value_idx", "value", Domain(0, 1023))],
-        memtable_capacity=32,
-        merge_policy_factory=lambda: ConstantMergePolicy(max_components=3),
-    )
-    return cluster
-
-
 def _consumer(
     cluster: LSMCluster,
     source: ChangestreamFeed,
 ) -> ResumableFeedConsumer:
     return ResumableFeedConsumer(
         source,
-        DatasetFeedAdapter(cluster, _DATASET),
+        DatasetFeedAdapter(cluster, DATASET),
         # The cursor lives in node 0's superblock: one durable home per
         # feed, surviving the same crashes its data does.
         FeedCursorStore(cluster.nodes[0].disk),
@@ -145,75 +97,6 @@ def _consumer(
         retry_policy=RetryPolicy.immediate(max_attempts=5),
         flush_every=_FLUSH_EVERY,
     )
-
-
-def _contents_image(cluster: LSMCluster) -> dict:
-    """Reconciled per-partition scans as comparable plain data."""
-    image: dict = {}
-    for node in cluster.nodes:
-        for partition_id in node.partition_ids:
-            dataset = node.dataset(_DATASET, partition_id)
-            image[(node.node_id, partition_id, "primary")] = tuple(
-                (record.key, record.value["value"])
-                for record in dataset.primary.scan()
-            )
-            image[(node.node_id, partition_id, "value_idx")] = tuple(
-                record.key for record in dataset.scan_secondary("value_idx")
-            )
-    return image
-
-
-def _estimate_sweep(cluster: LSMCluster) -> list[float]:
-    return [
-        cluster.estimate(_DATASET, "value_idx", lo, lo + width)
-        for lo in range(0, 1024, 64)
-        for width in (0, 15, 255)
-    ]
-
-
-def _images(cluster: LSMCluster) -> dict:
-    return {
-        "contents": _contents_image(cluster),
-        "catalog": _catalog_image(cluster),
-        "estimates": _estimate_sweep(cluster),
-    }
-
-
-def _settle(cluster: LSMCluster) -> None:
-    cluster.drain_maintenance()
-    cluster.recover_statistics()
-
-
-def _compare(baseline: dict, resumed: dict) -> list[str]:
-    problems: list[str] = []
-    if baseline["contents"] != resumed["contents"]:
-        diverged = sorted(
-            key
-            for key in baseline["contents"]
-            if baseline["contents"][key] != resumed["contents"].get(key)
-        )
-        problems.append(f"partition contents diverged: {diverged[:4]}")
-    expected, actual = baseline["catalog"], resumed["catalog"]
-    if set(expected) != set(actual):
-        missing = sorted(set(expected) - set(actual))
-        extra = sorted(set(actual) - set(expected))
-        problems.append(
-            f"catalog entries differ (missing {missing[:3]}, extra {extra[:3]})"
-        )
-    else:
-        diverged = [key for key in expected if expected[key] != actual[key]]
-        if diverged:
-            problems.append(f"synopsis payloads diverged for {diverged[:3]}")
-    if baseline["estimates"] != resumed["estimates"]:
-        deltas = [
-            (index, expected_value, actual_value)
-            for index, (expected_value, actual_value) in enumerate(
-                zip(baseline["estimates"], resumed["estimates"])
-            )
-            if expected_value != actual_value
-        ]
-        problems.append(f"estimates diverged: {deltas[:3]}")
-    return problems
 
 
 def _pick_kill_point(seed: int, records: int) -> int:
@@ -229,219 +112,174 @@ def _pick_kill_point(seed: int, records: int) -> int:
 
 
 def _run_resume_leg(
-    seed: int, records: int, problems: list[str]
-) -> dict[str, Any]:
+    seed: int, records: int, problems: list[str], counts: dict[str, int]
+) -> None:
     feed_records = _feed_records(seed, records)
     kill_at = _pick_kill_point(seed, records)
 
-    # Uninterrupted oracle on a perfect feed.
-    with use_registry(MetricsRegistry()):
-        baseline_cluster = _build_cluster()
-        baseline_stats = _consumer(
-            baseline_cluster, ChangestreamFeed(f"serve{seed}", feed_records)
-        ).run()
-        _settle(baseline_cluster)
-        baseline = _images(baseline_cluster)
+    def uninterrupted(cluster: LSMCluster) -> FeedConsumerStats:
+        source = ChangestreamFeed(f"serve{seed}", feed_records)
+        return _consumer(cluster, source).run()
 
-    # Chaos run: feed faults armed, killed mid-feed, crash-restarted,
-    # resumed from the durable cursor by a brand-new consumer.
-    chaos_registry = MetricsRegistry()
-    with use_registry(chaos_registry):
-        chaos_cluster = _build_cluster()
+    def killed_and_resumed(
+        cluster: LSMCluster,
+    ) -> tuple[FeedConsumerStats, FeedConsumerStats]:
+        # Feed faults armed, killed mid-feed, crash-restarted, resumed
+        # from the durable cursor by a brand-new consumer.
         plan = FeedFaultPlan(
             seed=seed, faults=FeedFaults(disconnect=0.03, duplicate=0.05)
         )
         source = ChangestreamFeed(f"serve{seed}", feed_records, fault_plan=plan)
-        first = _consumer(chaos_cluster, source)
-        first_stats = first.run(stop_after=kill_at)
-        chaos_cluster.restart_nodes()
-        chaos_cluster.recover_statistics()
-        resume = _consumer(chaos_cluster, source)
-        resume_stats = resume.run()
-        _settle(chaos_cluster)
-        resumed = _images(chaos_cluster)
+        first = _consumer(cluster, source).run(stop_after=kill_at)
+        cluster.restart_nodes()
+        cluster.recover_statistics()
+        return first, _consumer(cluster, source).run()
 
-    problems.extend(_compare(baseline, resumed))
-    if resume_stats.replayed == 0:
+    baseline = run_leg("baseline", uninterrupted, problems, durable=True)
+    chaos = run_leg(
+        "resume", killed_and_resumed, problems, baseline.images, durable=True
+    )
+    first, resume = chaos.result
+    if resume.replayed == 0:
         problems.append(
             f"vacuous resume: kill at {kill_at} replayed nothing "
             "(the crash landed on a checkpoint boundary)"
         )
-    total_applied = first_stats.applied + resume_stats.applied
-    if total_applied != baseline_stats.applied:
+    total_applied = first.applied + resume.applied
+    if total_applied != baseline.result.applied:
         problems.append(
             f"applied-record mismatch: interrupted run applied "
-            f"{total_applied}, uninterrupted {baseline_stats.applied}"
+            f"{total_applied}, uninterrupted {baseline.result.applied}"
         )
-    if chaos_cluster.statistics_backlog():
-        problems.append(
-            f"{chaos_cluster.statistics_backlog()} statistics messages "
-            "still parked after resume"
-        )
-    counters = chaos_registry.snapshot()["counters"]
-    return {
-        "kill_at": kill_at,
-        "replayed": resume_stats.replayed,
-        "deduplicated": first_stats.deduplicated + resume_stats.deduplicated,
-        "disconnects": counters.get("feed.source.disconnects", 0),
-        "reconnects": counters.get("feed.source.reconnects", 0),
-        "partial_batches": counters.get("feed.batches.partial", 0),
-    }
-
-
-def _run_overload_leg(
-    seed: int, records: int, problems: list[str]
-) -> dict[str, Any]:
-    registry = MetricsRegistry()
-    with use_registry(registry):
-        cluster = _build_cluster(scheduler="threads")
-        for record in _feed_records(seed, records):
-            if record.operation is FeedOperation.INSERT:
-                cluster.insert(_DATASET, record.document)
-        cluster.flush_all(_DATASET)
-        _settle(cluster)
-        # Warm the merged-synopsis cache so degraded answers exist.
-        cluster.estimate_detailed(_DATASET, "value_idx", 0, 255)
-
-        # Deterministic saturation: stage admissions past the bound
-        # before any worker runs, so the typed rejection is guaranteed.
-        service = EstimateService(
-            cluster,
-            max_queue_depth=4,
-            workers=2,
-            default_timeout=_JOIN_DEADLINE_SECONDS,
-            retry_policy=RetryPolicy.immediate(max_attempts=2),
-            autostart=False,
-        )
-        staged_rejections = 0
-        for i in range(service.max_queue_depth + 2):
-            if not service.offer("stager", _DATASET, "value_idx", 0, 63 + i):
-                staged_rejections += 1
-        if staged_rejections != 2:
-            problems.append(
-                f"staged saturation expected 2 rejections, got "
-                f"{staged_rejections}"
-            )
-
-        # Concurrent clients against the live service; sheds must be
-        # typed, everyone must come back.
-        service.start()
-        overloads = [0] * 4
-        completed = [0] * 4
-
-        def client(index: int) -> None:
-            for request_no in range(16):
-                lo = (index * 97 + request_no * 31) % 768
-                try:
-                    service.estimate(
-                        f"client-{index}", _DATASET, "value_idx", lo, lo + 127
-                    )
-                    completed[index] += 1
-                except OverloadedError:
-                    overloads[index] += 1
-
-        threads = [
-            threading.Thread(target=client, args=(index,), daemon=True)
-            for index in range(len(overloads))
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(_JOIN_DEADLINE_SECONDS)
-        stuck = [thread.name for thread in threads if thread.is_alive()]
-        if stuck:
-            problems.append(
-                f"deadlock: client threads never finished: {stuck}"
-            )
-        if sum(completed) + sum(overloads) != 16 * len(threads):
-            problems.append(
-                "lost requests: completions + sheds != submissions"
-            )
-        service.shutdown()
-        if service.peak_queue_depth > service.max_queue_depth:
-            problems.append(
-                f"queue depth {service.peak_queue_depth} exceeded bound "
-                f"{service.max_queue_depth}"
-            )
-
-        # Degraded flavour: no workers, an immediate timeout must fall
-        # back to the possibly-stale cached merge, flagged as such.
-        degraded_service = EstimateService(
-            cluster,
-            max_queue_depth=2,
-            default_timeout=0.0,
-            retry_policy=RetryPolicy.immediate(max_attempts=1),
-            degraded_mode=True,
-            autostart=False,
-        )
-        try:
-            result = degraded_service.estimate(
-                "degraded-client", _DATASET, "value_idx", 0, 255
-            )
-            if not result.degraded:
-                problems.append("degraded answer not flagged degraded")
-        except OverloadedError:
-            problems.append(
-                "degraded mode shed a request despite a warm cache"
-            )
-        degraded_service.shutdown()
-        cluster.shutdown()
-
-    counters = registry.snapshot()["counters"]
-    if not counters.get("serve.rejected", 0):
-        problems.append("no serve.rejected counted anywhere in the leg")
-    return {
-        "requests": counters.get("serve.requests", 0),
-        "rejected": counters.get("serve.rejected", 0),
-        "degraded": counters.get("serve.degraded", 0),
-        "timeouts": counters.get("serve.timeouts", 0),
-        "peak_queue_depth": service.peak_queue_depth,
-    }
-
-
-def run_servecheck(seed: int = 0, records: int = 512) -> ServeCheckReport:
-    """Run both serving-resilience legs for one seed."""
-    problems: list[str] = []
-    resume = _run_resume_leg(seed, records, problems)
-    overload = _run_overload_leg(seed, min(records, 256), problems)
-    return ServeCheckReport(
-        seed=seed,
-        records=records,
-        converged=not problems,
-        kill_at=resume["kill_at"],
-        replayed=resume["replayed"],
-        deduplicated=resume["deduplicated"],
-        disconnects=resume["disconnects"],
-        reconnects=resume["reconnects"],
-        partial_batches=resume["partial_batches"],
-        requests=overload["requests"],
-        rejected=overload["rejected"],
-        degraded=overload["degraded"],
-        timeouts=overload["timeouts"],
-        peak_queue_depth=overload["peak_queue_depth"],
-        problems=tuple(problems),
+    counts["kill_at"] = kill_at
+    counts["replayed"] = resume.replayed
+    counts["deduplicated"] = first.deduplicated + resume.deduplicated
+    tally(
+        counts,
+        chaos.counters,
+        {
+            "disconnects": "feed.source.disconnects",
+            "reconnects": "feed.source.reconnects",
+            "partial_batches": "feed.batches.partial",
+        },
     )
 
 
-def format_report(report: ServeCheckReport) -> str:
-    lines = [
-        f"servecheck seed={report.seed} records={report.records}",
-        f"  resume: killed at {report.kill_at}, replayed "
-        f"{report.replayed}, deduplicated {report.deduplicated}",
-        f"  feed faults: disconnects={report.disconnects} "
-        f"reconnects={report.reconnects} "
-        f"partial_batches={report.partial_batches}",
-        f"  overload: requests={report.requests} "
-        f"rejected={report.rejected} degraded={report.degraded} "
-        f"timeouts={report.timeouts} "
-        f"peak_queue_depth={report.peak_queue_depth}",
-    ]
-    if report.converged:
-        lines.append(
-            "  converged: crash-resume is bit-identical and overload "
-            "sheds typed rejections without deadlock"
+def _overload(
+    cluster: LSMCluster, seed: int, records: int, problems: list[str]
+) -> int:
+    """Saturate, hammer and degrade a bounded estimate service over a
+    settled cluster; returns the service's peak queue depth."""
+    for record in _feed_records(seed, records):
+        if record.operation is FeedOperation.INSERT:
+            cluster.insert(DATASET, record.document)
+    cluster.flush_all(DATASET)
+    settle(cluster)
+    # Warm the merged-synopsis cache so degraded answers exist.
+    cluster.estimate_detailed(DATASET, INDEX, 0, 255)
+
+    # Deterministic saturation: stage admissions past the bound
+    # before any worker runs, so the typed rejection is guaranteed.
+    service = EstimateService(
+        cluster,
+        max_queue_depth=4,
+        workers=2,
+        default_timeout=_JOIN_DEADLINE_SECONDS,
+        retry_policy=RetryPolicy.immediate(max_attempts=2),
+        autostart=False,
+    )
+    staged_rejections = 0
+    for i in range(service.max_queue_depth + 2):
+        if not service.offer("stager", DATASET, INDEX, 0, 63 + i):
+            staged_rejections += 1
+    if staged_rejections != 2:
+        problems.append(
+            f"staged saturation expected 2 rejections, got {staged_rejections}"
         )
-    else:
-        lines.append("  FAILED:")
-        lines.extend(f"    - {problem}" for problem in report.problems)
-    return "\n".join(lines)
+
+    # Concurrent clients against the live service; sheds must be
+    # typed, everyone must come back.
+    service.start()
+    overloads = [0] * 4
+    completed = [0] * 4
+
+    def client(index: int) -> None:
+        for request_no in range(16):
+            lo = (index * 97 + request_no * 31) % 768
+            try:
+                service.estimate(f"client-{index}", DATASET, INDEX, lo, lo + 127)
+                completed[index] += 1
+            except OverloadedError:
+                overloads[index] += 1
+
+    threads = [
+        threading.Thread(target=client, args=(index,), daemon=True)
+        for index in range(len(overloads))
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(_JOIN_DEADLINE_SECONDS)
+    stuck = [thread.name for thread in threads if thread.is_alive()]
+    if stuck:
+        problems.append(f"deadlock: client threads never finished: {stuck}")
+    if sum(completed) + sum(overloads) != 16 * len(threads):
+        problems.append("lost requests: completions + sheds != submissions")
+    service.shutdown()
+    if service.peak_queue_depth > service.max_queue_depth:
+        problems.append(
+            f"queue depth {service.peak_queue_depth} exceeded bound "
+            f"{service.max_queue_depth}"
+        )
+
+    # Degraded flavour: no workers, an immediate timeout must fall
+    # back to the possibly-stale cached merge, flagged as such.
+    degraded_service = EstimateService(
+        cluster,
+        max_queue_depth=2,
+        default_timeout=0.0,
+        retry_policy=RetryPolicy.immediate(max_attempts=1),
+        degraded_mode=True,
+        autostart=False,
+    )
+    try:
+        result = degraded_service.estimate("degraded-client", DATASET, INDEX, 0, 255)
+        if not result.degraded:
+            problems.append("degraded answer not flagged degraded")
+    except OverloadedError:
+        problems.append("degraded mode shed a request despite a warm cache")
+    degraded_service.shutdown()
+    return service.peak_queue_depth
+
+
+def run_servecheck(seed: int = 0, records: int = 512) -> CheckReport:
+    """Run both serving-resilience legs for one seed."""
+    problems: list[str] = []
+    counts: dict[str, int] = {}
+    _run_resume_leg(seed, records, problems, counts)
+    overload = run_leg(
+        "overload",
+        lambda c: _overload(c, seed, min(records, 256), problems),
+        problems,
+        durable=True,
+        scheduler="threads",
+    )
+    if not overload.counters.get("serve.rejected", 0):
+        problems.append("no serve.rejected counted anywhere in the leg")
+    tally(
+        counts,
+        overload.counters,
+        {
+            "requests": "serve.requests",
+            "rejected": "serve.rejected",
+            "degraded": "serve.degraded",
+            "timeouts": "serve.timeouts",
+        },
+    )
+    counts["peak_queue_depth"] = overload.result
+    return CheckReport(
+        f"servecheck seed={seed} records={records}",
+        not problems,
+        tuple(problems),
+        counts,
+    )

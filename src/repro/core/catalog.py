@@ -187,11 +187,22 @@ class StatisticsCatalog:
         )
 
     def entries_for(self, index_name: str) -> list[StatisticsEntry]:
-        """All live entries for an index, in insertion-version order."""
+        """All live entries for an index, sorted by ``(node_id,
+        partition_id, component_uid)``.
+
+        Callers fold entries in this order, and some merges are
+        order-dependent (wavelets keep the top B coefficients after each
+        pairwise merge).  Insertion order depends on delivery timing and
+        changes across a restart, whose recovery republishes every
+        component.  This order survives a restart: recovery rebuilds a
+        partition's components in creation order, so their fresh uids
+        rank the same way the old ones did.
+        """
         bucket = self._entries.get(index_name)
         if bucket is None:
             return []
-        return sorted(bucket.values(), key=lambda e: e.version)
+        # Bucket keys are exactly (node_id, partition_id, component_uid).
+        return [bucket[key] for key in sorted(bucket)]
 
     def version_for(self, index_name: str) -> int:
         """Monotone per-index version; bumps on every put/retract."""

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.cluster.cluster import LSMCluster
-from repro.cluster.crashcheck import format_report, run_crashcheck
+from repro.cluster.check import format_report
+from repro.cluster.crashcheck import run_crashcheck
 from repro.cluster.faults import FaultPlan, LinkFaults
 from repro.cluster.node import RetryPolicy
 from repro.core.config import StatisticsConfig
@@ -14,11 +15,13 @@ from repro.synopses.base import SynopsisType
 from repro.types import Domain
 
 
-def _build_cluster(durable=True, wal_enabled=True, fault_plan=None):
+def _build_cluster(
+    durable=True, wal_enabled=True, fault_plan=None, synopsis=SynopsisType.EQUI_WIDTH
+):
     cluster = LSMCluster(
         num_nodes=2,
         partitions_per_node=2,
-        stats_config=StatisticsConfig(SynopsisType.EQUI_WIDTH, budget=32),
+        stats_config=StatisticsConfig(synopsis, budget=32),
         fault_plan=fault_plan,
         retry_policy=RetryPolicy.immediate(max_attempts=3),
         durable=durable,
@@ -59,6 +62,29 @@ def test_durable_restart_preserves_contents_and_estimates():
         cluster.estimate("ds", "value_idx", lo, lo + 63)
         for lo in range(0, 1024, 128)
     ] == before_estimates
+
+
+def test_wavelet_estimates_survive_restart():
+    # Wavelet merges keep the top B coefficients after each pairwise
+    # merge, so the estimator's fold order changes its answer.  Recovery
+    # republishes every component in a new order; the catalog must
+    # still hand the estimator the same fold order as before the crash.
+    cluster = _build_cluster(synopsis=SynopsisType.WAVELET)
+    _ingest(cluster, records=256)
+    cluster.flush_all("ds")
+    cluster.recover_statistics()
+
+    def sweep():
+        return [
+            cluster.estimate("ds", "value_idx", lo, lo + width)
+            for lo in range(0, 1024, 64)
+            for width in (0, 15, 255)
+        ]
+
+    before = sweep()
+    cluster.restart_nodes()
+    cluster.recover_statistics()
+    assert sweep() == before
 
 
 def test_restart_preserves_unflushed_acked_writes():
@@ -153,11 +179,12 @@ def test_crashcheck_converges():
     # produces enough flushes to reach the merge crash points.
     report = run_crashcheck(seed=1, records=512)
     assert report.converged, format_report(report)
-    assert report.crashes_fired == len(report.points_checked)
-    assert report.control_records_lost > 0
+    assert report.counts["crashes_fired"] == report.counts["points_checked"]
+    assert report.counts["control_records_lost"] > 0
     # The concurrent sweep (virtual scheduler) must actually crash
     # inside background maintenance tasks, not degrade to a no-op.
-    assert report.concurrent_points_checked
-    assert report.concurrent_crashes_fired == len(
-        report.concurrent_points_checked
+    assert report.counts["concurrent_points_checked"]
+    assert (
+        report.counts["concurrent_crashes_fired"]
+        == report.counts["concurrent_points_checked"]
     )

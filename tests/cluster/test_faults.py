@@ -332,8 +332,8 @@ def test_catalog_gauge_tracks_only_actual_change():
 def test_seeded_chaos_run_converges():
     report = run_faultcheck(seed=11, records=256)
     assert report.converged, report.problems
-    assert report.dropped > 0  # the plan actually injected faults
-    assert report.retries > 0
+    assert report.counts["dropped"] > 0  # the plan actually injected faults
+    assert report.counts["retries"] > 0
 
 
 def test_hopeless_fault_plan_raises_instead_of_spinning():
