@@ -636,8 +636,7 @@ class LSMTree:
                 bloom = BloomFilter.for_capacity(
                     max(1, descriptor.expected_records), self.bloom_fpp
                 )
-                for record in btree.iter_all():
-                    bloom.add(record.key)
+                bloom.add_all(record.key for record in btree.iter_all())
             built[descriptor.ordinal] = DiskComponent(
                 ComponentId(descriptor.min_seq, descriptor.max_seq),
                 btree,

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import re
 import struct
 from array import array
 from typing import Any, Sequence
@@ -125,31 +126,25 @@ class HBSCodec:
 
     @classmethod
     def encode(cls, registers: "array[int]") -> bytes:
-        frequencies: dict[int, int] = {}
-        for value in registers:
-            frequencies[value] = frequencies.get(value, 0) + 1
-        if len(frequencies) <= 1:
-            value = registers[0] if len(registers) else 0
-            return cls._HEADER.pack(cls._UNIFORM, len(registers), value)
-        lengths = cls._code_lengths(frequencies)
-        codes = cls._canonical_codes(lengths)
-        out = bytearray(
-            cls._HEADER.pack(cls._HUFFMAN, len(registers), len(lengths))
+        raw = bytes(registers)
+        symbols = set(raw)
+        if len(symbols) <= 1:
+            value = raw[0] if raw else 0
+            return cls._HEADER.pack(cls._UNIFORM, len(raw), value)
+        lengths = cls._code_lengths({symbol: raw.count(symbol) for symbol in symbols})
+        codewords = {
+            symbol: format(code, f"0{length}b")
+            for symbol, (code, length) in cls._canonical_codes(lengths).items()
+        }
+        header = cls._HEADER.pack(cls._HUFFMAN, len(raw), len(lengths))
+        table = b"".join(
+            struct.pack(">BB", symbol, lengths[symbol]) for symbol in sorted(lengths)
         )
-        for symbol in sorted(lengths):
-            out += struct.pack(">BB", symbol, lengths[symbol])
-        buffer = 0
-        pending = 0
-        for value in registers:
-            code, length = codes[value]
-            buffer = (buffer << length) | code
-            pending += length
-            while pending >= 8:
-                pending -= 8
-                out.append((buffer >> pending) & 0xFF)
-        if pending:
-            out.append((buffer << (8 - pending)) & 0xFF)
-        return bytes(out)
+        # Registers as a latin-1 string map byte-for-byte onto their
+        # codeword strings; one big-int conversion packs the bits.
+        bits = raw.decode("latin-1").translate(codewords)
+        bits += "0" * (-len(bits) % 8)
+        return header + table + int(bits, 2).to_bytes(len(bits) // 8, "big")
 
     @classmethod
     def decode(cls, data: bytes) -> "array[int]":
@@ -167,32 +162,33 @@ class HBSCodec:
             symbol, length = struct.unpack_from(">BB", data, offset)
             offset += 2
             lengths[symbol] = length
-        codes = cls._canonical_codes(lengths)
-        # (length, code) -> symbol, walked bit by bit below.
-        table = {
-            (length, code): symbol
-            for symbol, (code, length) in codes.items()
+        # Codeword string -> symbol.  A table that is not a valid prefix
+        # code can assign a length-0 word or overflow its length; such
+        # words can never be read, so they are left out.
+        symbol_of = {
+            format(code, f"0{length}b"): symbol
+            for symbol, (code, length) in cls._canonical_codes(lengths).items()
+            if length and code >> length == 0
         }
-        registers = array("B", bytes(count))
+        payload = data[offset:]
+        # The leading 1 bit keeps the payload's leading zeros.
+        bits = bin(int.from_bytes(payload, "big") | 1 << 8 * len(payload))[3:]
+        # Shortest codeword first, as a bit-by-bit walk would match; the
+        # words left are prefix-free, so the parse from bit 0 is unique.
+        pattern = "|".join(sorted(symbol_of, key=len))
+        words = re.findall(pattern, bits)[:count] if symbol_of else []
+        if count and len(words) == count and bits.startswith("".join(words)):
+            return array("B", bytes(map(symbol_of.__getitem__, words)))
+        # findall skips bits no codeword matches; report how many
+        # registers decode before the first such gap.
+        decoded = 0
         position = 0
-        code = 0
-        length = 0
-        payload = memoryview(data)[offset:]
-        for byte in payload:
-            for shift in range(7, -1, -1):
-                code = (code << 1) | ((byte >> shift) & 1)
-                length += 1
-                symbol = table.get((length, code))
-                if symbol is not None:
-                    registers[position] = symbol
-                    position += 1
-                    code = 0
-                    length = 0
-                    if position == count:
-                        return registers
-        raise SynopsisError(
-            f"HBS frame exhausted after {position}/{count} registers"
-        )
+        for word in words:
+            if not bits.startswith(word, position):
+                break
+            position += len(word)
+            decoded += 1
+        raise SynopsisError(f"HBS frame exhausted after {decoded}/{count} registers")
 
     @staticmethod
     def _code_lengths(frequencies: dict[int, int]) -> dict[int, int]:

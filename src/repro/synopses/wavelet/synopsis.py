@@ -162,25 +162,30 @@ class WaveletBuilder(SynopsisBuilder):
         run boundaries are fully determined by the value sequence --
         chunking cannot split a run because the pending run carries
         across chunks in ``_current_value``/``_current_frequency``.
-        Duplicate values only bump the pending frequency, so the stack
+        Duplicate values only bump the pending frequency, so the carry
         cascade runs once per distinct value, exactly as per-record
-        ``_add`` calls would; coefficients are bit-identical across the
-        per-record, list-chunk, and columnar paths (float arithmetic
-        included: the same ``transform_add`` calls happen in the same
-        order with the same arguments).
+        ``_add`` calls would.  The chunk's completed runs go to one
+        ``add_runs`` call as ``value - lo`` positions (``add_many``
+        already validated the domain); coefficients are bit-identical
+        across the per-record, list-chunk, and columnar paths (float
+        arithmetic included: the prefix sum adds the same frequencies
+        in the same order).
         """
         current = self._current_value
         frequency = self._current_frequency
-        transform_add = self._transform.add
-        position = self.domain.position
+        lo = self.domain.lo
+        positions: list[int] = []
+        frequencies: list[int] = []
         for value in values:
             if value == current:
                 frequency += 1
             else:
                 if current is not None:
-                    transform_add(position(current), float(frequency))
+                    positions.append(current - lo)
+                    frequencies.append(frequency)
                 current = value
                 frequency = 1
+        self._transform.add_runs(positions, frequencies)
         self._current_value = current
         self._current_frequency = frequency
         self._count += len(values)
